@@ -35,8 +35,8 @@ func (j batchJob) scenarios() ([]experiments.Scenario, error) {
 func jobSeed(rng *rand.Rand) int64 { return 1000 + rng.Int63n(1<<30) }
 
 // gridStormJobs returns the first n grid-storm jobs for the seed. FullGrid
-// (17 availability variants × 5 policies × 4 fleets × 4 markets) is cut
-// into 85 sixteen-cell sub-grids, one per (availability variant, policy)
+// (17 availability variants × 5 policies × 4 fleets × 3 markets) is cut
+// into 85 twelve-cell sub-grids, one per (availability variant, policy)
 // pair. Each pass visits all 85 in a fresh seeded order, so any 85
 // consecutive jobs cover the whole grid.
 func gridStormJobs(seed int64, n int) []batchJob {
@@ -415,10 +415,10 @@ func warmBatch(jobs []batchJob, cfg benchConfig) error {
 	return nil
 }
 
-func batchMeasure(jobs func(seed int64, n int) []batchJob) func(benchConfig, *tracer) (*phaseResult, *phaseResult, []*phaseResult, error) {
-	return func(cfg benchConfig, tr *tracer) (*phaseResult, *phaseResult, []*phaseResult, error) {
+func batchMeasure(jobs func(seed int64, n int) []batchJob) func(benchConfig, *tracer) (*phaseResult, []*phaseResult, error) {
+	return func(cfg benchConfig, tr *tracer) (*phaseResult, []*phaseResult, error) {
 		ph := measureBatch(func(n int) []batchJob { return jobs(cfg.seed, n) }, cfg, tr)
-		return ph, ph, []*phaseResult{ph}, nil
+		return ph, []*phaseResult{ph}, nil
 	}
 }
 

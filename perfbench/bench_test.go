@@ -13,6 +13,7 @@ import (
 
 	"spotserve/internal/experiments"
 	"spotserve/internal/scenario"
+	"spotserve/internal/serve"
 )
 
 // parallelWorkers is the pool size the exact-count tests compare against a
@@ -146,7 +147,7 @@ func TestCountsRepeatExactly(t *testing.T) {
 func TestStreamBytesRepeatExactly(t *testing.T) {
 	plans := daemonPlans(7, 6)
 	bytesAt := func(workers int) []int64 {
-		rig, err := startDaemon(workers)
+		rig, err := startDaemon(workers, cacheCellsFor(plans))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,6 +173,74 @@ func TestStreamBytesRepeatExactly(t *testing.T) {
 		if got := bytesAt(w); !reflect.DeepEqual(got, want) {
 			t.Errorf("%d workers: stream bytes %v, want %v", w, got, want)
 		}
+	}
+}
+
+// TestDaemonCacheHoldsEveryRun: the daemon's cell cache holds every replica
+// a measurement's fresh plans can write — more than serve's default cache,
+// which a fast host would overflow — and a cache one cell too small is
+// caught as an eviction instead of surfacing as failed repeats.
+func TestDaemonCacheHoldsEveryRun(t *testing.T) {
+	plans, _ := measurePlans(benchConfig{seed: 7, duration: 18 * time.Second})
+	need := 0
+	for _, p := range plans {
+		if !p.fresh {
+			continue
+		}
+		g, err := p.spec.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := g.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		need += len(cells) * p.spec.Seeds
+	}
+	if need <= serve.DefaultCacheCells {
+		t.Fatalf("plans need %d cells, not more than the default %d: the check below proves nothing", need, serve.DefaultCacheCells)
+	}
+	if got := cacheCellsFor(plans); got < need {
+		t.Errorf("cache sized for %d cells, plans write %d", got, need)
+	}
+
+	small := daemonPlans(7, 8)
+	run := func(cacheCells int) (*phaseResult, error) {
+		rig, err := startDaemon(2, cacheCells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := rig.stop(); err != nil {
+				t.Error(err)
+			}
+		}()
+		g := &generator{rig: rig, plans: small}
+		for i := range small {
+			g.finish(g.launch(i, time.Now()))
+		}
+		if _, _, err := rig.cacheStats(); err != nil {
+			return nil, err
+		}
+		counts, err := rig.jobCacheCounts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := map[int][]scenario.GridRow{}
+		if err := referenceRows(g.recs, small, refs, 2); err != nil {
+			t.Fatal(err)
+		}
+		return daemonPhase("test", g.recs, small, refs, counts, time.Second, 0), nil
+	}
+	ph, err := run(cacheCellsFor(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph.failed != 0 || len(ph.fresh) != 4 || len(ph.cached) != 4 {
+		t.Errorf("sized cache: %d failed, %d fresh, %d cached: %v", ph.failed, len(ph.fresh), len(ph.cached), ph.errors)
+	}
+	if _, err := run(cacheCellsFor(small) - 1); err == nil {
+		t.Error("a cache one cell too small evicted without an error")
 	}
 }
 
@@ -259,6 +328,7 @@ func TestParseFlagsRejectsBadInput(t *testing.T) {
 		{"--workload", "nope"},
 		{"--workload", "grid-storm", "--trace", "2"},
 		{"--workload", "grid-storm", "--seconds", "0"},
+		{"--workload", "grid-storm", "--workers", "4"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {
 			t.Errorf("parseFlags(%v) accepted bad input", args)

@@ -24,7 +24,7 @@ const (
 	// openLoopRate is the traced open-loop phase's fixed job rate in
 	// jobs/s, about half of one runner's capacity on this job mix at 2
 	// workers.
-	openLoopRate float64 = 12
+	openLoopRate float64 = 16
 	// daemonLimitMS is the latency limit behind job_slo_share.
 	daemonLimitMS = 1000.0
 	// streamCountSet: serve.stream_bytes_per_job averages the jobs of the
@@ -47,8 +47,8 @@ type jobPlan struct {
 }
 
 // daemonPlans returns the first n job plans for the seed. Jobs come in
-// blocks of three, two fresh and one repeat in seeded order (the first
-// block starts fresh), so two thirds of the jobs simulate. Fresh specs
+// blocks of two, one fresh and one repeat in seeded order (the first
+// block starts fresh), so half of the jobs simulate. Fresh specs
 // cycle through every (pair of daemonModels, fleet) combination in seeded
 // order — the axes that set a job's cost — with a seeded policy pair each.
 // A repeat names a seeded earlier fresh spec. The mix is an assumption: no
@@ -72,15 +72,15 @@ func daemonPlans(seed int64, n int) []jobPlan {
 	var out, fresh []jobPlan
 	var cycle []int
 	for len(out) < n {
-		block := rng.Perm(3) // values 0 and 1 are fresh, 2 a repeat
+		block := rng.Perm(2) // 0 is the fresh job, 1 the repeat
 		if len(out) == 0 {
-			block = []int{0, 1, 2}
+			block = []int{0, 1}
 		}
 		for _, b := range block {
 			if len(out) == n {
 				break
 			}
-			if b == 2 {
+			if b == 1 {
 				orig := fresh[rng.Intn(len(fresh))]
 				orig.fresh = false
 				out = append(out, orig)
@@ -138,13 +138,33 @@ type daemonRig struct {
 	served chan error
 }
 
-func startDaemon(workers int) (*daemonRig, error) {
+// cacheCellsFor sizes the daemon's cell cache to hold every replica the
+// fresh plans can write, so no run, however fast the host, evicts a cell a
+// later repeat names.
+func cacheCellsFor(plans []jobPlan) int {
+	n := 0
+	for _, p := range plans {
+		if p.fresh {
+			n += jobReplicas(p.spec)
+		}
+	}
+	return n
+}
+
+// jobReplicas is the number of per-seed replicas a daemon spec runs.
+func jobReplicas(spec scenario.JobSpec) int {
+	return len(spec.Avail) * len(spec.Policies) * len(spec.Fleets) * spec.Seeds
+}
+
+// startDaemon starts a daemon whose pool has `workers` workers and whose
+// cell cache holds cacheCells replicas.
+func startDaemon(workers, cacheCells int) (*daemonRig, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("listen: %w", err)
 	}
 	d := &daemonRig{
-		srv:    serve.New(serve.Options{Parallel: workers}),
+		srv:    serve.New(serve.Options{Parallel: workers, CacheCells: cacheCells}),
 		base:   "http://" + ln.Addr().String(),
 		served: make(chan error, 1),
 		client: &http.Client{Transport: &http.Transport{
@@ -511,7 +531,10 @@ func referenceRows(recs []*jobRecord, plans []jobPlan, refs map[int][]scenario.G
 	return nil
 }
 
-// cacheStats reads the daemon's cumulative cell-cache counters.
+// cacheStats reads the daemon's cumulative cell-cache counters. Every miss
+// stores a distinct replica (a repeat runs after its origin), so a cache
+// holding fewer cells than it missed has evicted one; that is an error,
+// because a later repeat could then simulate and count as a failed job.
 func (d *daemonRig) cacheStats() (hits, lookups uint64, err error) {
 	var st serve.Stats
 	if err := d.getJSON("/stats", &st); err != nil {
@@ -520,6 +543,10 @@ func (d *daemonRig) cacheStats() (hits, lookups uint64, err error) {
 	if st.Cache == nil {
 		return 0, 0, fmt.Errorf("/stats: cache disabled")
 	}
+	if uint64(st.Cache.Size) != st.Cache.Misses {
+		return 0, 0, fmt.Errorf("cell cache evicted: %d cells held after %d misses (max %d)",
+			st.Cache.Size, st.Cache.Misses, st.Cache.Max)
+	}
 	return st.Cache.Hits, st.Cache.Hits + st.Cache.Misses, nil
 }
 
@@ -527,15 +554,11 @@ func (d *daemonRig) cacheStats() (hits, lookups uint64, err error) {
 // fresh daemon and verifies every job. A traced run then adds an open-loop
 // phase on the same daemon; its figures are per-layer only (DESIGN.md says
 // why).
-func measureDaemon(cfg benchConfig, tr *tracer) (lat, thr *phaseResult, all []*phaseResult, err error) {
-	openDur := cfg.duration * 85 / 100
-	nOpen := int(openLoopRate * openDur.Seconds())
-	// Plans beyond what the closed loop could finish at 100 jobs/s are
-	// never needed.
-	plans := daemonPlans(cfg.seed, int(100*cfg.duration.Seconds())+nOpen+16)
-	rig, err := startDaemon(cfg.workers)
+func measureDaemon(cfg benchConfig, tr *tracer) (measured *phaseResult, all []*phaseResult, err error) {
+	plans, nOpen := measurePlans(cfg)
+	rig, err := startDaemon(cfg.workers, cacheCellsFor(plans))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		if serr := rig.stop(); serr != nil && err == nil {
@@ -549,7 +572,7 @@ func measureDaemon(cfg benchConfig, tr *tracer) (lat, thr *phaseResult, all []*p
 	peak := watch.stop()
 	h1, l1, err := rig.cacheStats()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	var openRecs []*jobRecord
 	var openWall time.Duration
@@ -559,17 +582,17 @@ func measureDaemon(cfg benchConfig, tr *tracer) (lat, thr *phaseResult, all []*p
 		openRecs = openLoop(rig, plans, len(closedRecs), nOpen, cfg.workers, tr)
 		openWall = time.Since(t0)
 		if h2, l2, err = rig.cacheStats(); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	counts, err := rig.jobCacheCounts()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	refs := map[int][]scenario.GridRow{}
 	if err := referenceRows(append(append([]*jobRecord(nil), closedRecs...), openRecs...), plans, refs, cfg.workers); err != nil {
-		return nil, nil, nil, fmt.Errorf("reference sweep: %w", err)
+		return nil, nil, fmt.Errorf("reference sweep: %w", err)
 	}
 	closed := daemonPhase("closed-loop", closedRecs, plans, refs, counts, closedWall, a1-a0)
 	closed.serve.cacheHits, closed.serve.cacheLookups = h1, l1
@@ -581,7 +604,15 @@ func measureDaemon(cfg benchConfig, tr *tracer) (lat, thr *phaseResult, all []*p
 		open.allocRuns = 0 // the open loop's allocations are not sampled
 		all = append(all, open)
 	}
-	return closed, closed, all, nil
+	return closed, all, nil
+}
+
+// measurePlans returns the plans one measurement may use and how many of
+// them the traced open loop sends. The closed loop stops early if it ever
+// finishes more than 100 jobs/s.
+func measurePlans(cfg benchConfig) (plans []jobPlan, nOpen int) {
+	nOpen = int(openLoopRate * (cfg.duration * 85 / 100).Seconds())
+	return daemonPlans(cfg.seed, int(100*cfg.duration.Seconds())+nOpen+16), nOpen
 }
 
 // addServeLayers reports the serve-layer figures of a traced run's phases
@@ -674,12 +705,13 @@ const daemonCountSet = 24
 var daemonJobs = workloadDef{
 	name: "daemon-jobs",
 	setup: func(cfg benchConfig) error {
-		for _, p := range daemonPlans(cfg.seed, 256) {
+		plans, _ := measurePlans(cfg)
+		for _, p := range plans {
 			if _, err := scenario.ParseJobSpec(p.body); err != nil {
 				return err
 			}
 		}
-		rig, err := startDaemon(cfg.workers)
+		rig, err := startDaemon(cfg.workers, cacheCellsFor(plans))
 		if err != nil {
 			return err
 		}

@@ -32,15 +32,18 @@ type benchConfig struct {
 	seed     int64
 	duration time.Duration
 	trace    bool
-	workers  int
-	outDir   string
+	// workers sizes the sweep pool, the daemon's pool and the generator's
+	// connection limit: nproc.
+	workers int
+	outDir  string
 }
 
-// phaseResult is what one measured phase observed. A batch workload has a
-// single closed-loop phase; the daemon workload has an open-loop and a
-// closed-loop phase. Every operation (a job) is sent, then either succeeds
-// or fails; a failure is a panic, an error row, a fingerprint mismatch, a
-// rejected submit, a non-done terminal state or a broken stream.
+// phaseResult is what one measured phase observed. Every workload measures
+// one closed-loop phase; a traced daemon run adds an open-loop phase whose
+// figures are per-layer only. Every operation (a job) is sent, then either
+// succeeds or fails; a failure is a panic, an error row, a fingerprint
+// mismatch, a rejected submit, a non-done terminal state or a broken
+// stream.
 type phaseResult struct {
 	name                    string
 	sent, succeeded, failed int
@@ -80,10 +83,10 @@ type workloadDef struct {
 	// setup builds the workload's inputs from the seed and brings the
 	// system up, then tears it down; measured several times per run.
 	setup func(cfg benchConfig) error
-	// measure runs the measured phases. latency is the phase the latency
-	// metrics come from, throughput the one runs_per_s and
-	// daemon_jobs_per_s come from (the same phase for batch workloads).
-	measure func(cfg benchConfig, tr *tracer) (latency, throughput *phaseResult, all []*phaseResult, err error)
+	// measure runs the workload's phases. measured is the phase the
+	// end-to-end metrics come from; all lists every phase that ran,
+	// measured first.
+	measure func(cfg benchConfig, tr *tracer) (measured *phaseResult, all []*phaseResult, err error)
 	// layers computes the per-layer metrics on the workload's fixed,
 	// seed-determined count set.
 	layers func(cfg benchConfig, tr *tracer) (map[string]float64, error)
@@ -129,7 +132,6 @@ func parseFlags(args []string, stderr io.Writer) (benchConfig, error) {
 	fs.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	fs.Float64Var(&seconds, "seconds", 18, "seconds to measure")
 	fs.IntVar(&traceFlag, "trace", 0, "1 = traced run reporting per-layer metrics")
-	fs.IntVar(&cfg.workers, "workers", runtime.NumCPU(), "sweep and daemon worker pool size")
 	fs.StringVar(&cfg.outDir, "out", ".bench_out", "directory for span files")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
@@ -137,9 +139,10 @@ func parseFlags(args []string, stderr io.Writer) (benchConfig, error) {
 	if _, ok := workloads()[cfg.workload]; !ok {
 		return cfg, fmt.Errorf("unknown workload %q", cfg.workload)
 	}
-	if seconds <= 0 || cfg.workers < 1 || (traceFlag != 0 && traceFlag != 1) {
-		return cfg, fmt.Errorf("bad --seconds %v, --workers %d or --trace %d", seconds, cfg.workers, traceFlag)
+	if seconds <= 0 || (traceFlag != 0 && traceFlag != 1) {
+		return cfg, fmt.Errorf("bad --seconds %v or --trace %d", seconds, traceFlag)
 	}
+	cfg.workers = runtime.NumCPU()
 	cfg.duration = time.Duration(seconds * float64(time.Second))
 	cfg.trace = traceFlag == 1
 	return cfg, nil
@@ -180,11 +183,11 @@ func run(cfg benchConfig, out io.Writer) (result, error) {
 		return result{}, fmt.Errorf("warm-up: %w", err)
 	}
 
-	lat, thr, phases, err := w.measure(cfg, nil)
+	measured, phases, err := w.measure(cfg, nil)
 	if err != nil {
 		return result{}, err
 	}
-	e2e := endToEnd(lat, thr, phases, median(setups))
+	e2e := endToEnd(measured, phases, median(setups))
 	res := result{Correct: true, Metrics: map[string]metric{}}
 	for _, ph := range phases {
 		reportPhase(out, w.name, ph)
@@ -200,11 +203,11 @@ func run(cfg benchConfig, out io.Writer) (result, error) {
 	}
 
 	tr := newTracer()
-	tlat, tthr, tphases, err := w.measure(cfg, tr)
+	tmeasured, tphases, err := w.measure(cfg, tr)
 	if err != nil {
 		return result{}, err
 	}
-	traced := endToEnd(tlat, tthr, tphases, median(setups))
+	traced := endToEnd(tmeasured, tphases, median(setups))
 	for _, ph := range tphases {
 		reportPhase(out, w.name+" (traced)", ph)
 		res.Attempted += ph.sent
@@ -242,26 +245,27 @@ func run(cfg benchConfig, out io.Writer) (result, error) {
 	return res, nil
 }
 
-// endToEnd derives the end-to-end metrics from a run's phases.
-func endToEnd(lat, thr *phaseResult, phases []*phaseResult, setupS float64) map[string]float64 {
+// endToEnd derives the end-to-end metrics from a run's measured phase;
+// ok_share and alloc_mb_per_run count every phase.
+func endToEnd(ph *phaseResult, phases []*phaseResult, setupS float64) map[string]float64 {
 	var sent, ok, allocRuns int
 	var alloc uint64
-	for _, ph := range phases {
-		sent += ph.sent
-		ok += ph.succeeded
-		alloc += ph.allocBytes
-		allocRuns += ph.allocRuns
+	for _, p := range phases {
+		sent += p.sent
+		ok += p.succeeded
+		alloc += p.allocBytes
+		allocRuns += p.allocRuns
 	}
 	return map[string]float64{
-		"runs_per_s":        share(float64(thr.simRuns), thr.wall.Seconds()),
+		"runs_per_s":        share(float64(ph.simRuns), ph.wall.Seconds()),
 		"alloc_mb_per_run":  share(float64(alloc)/(1<<20), float64(allocRuns)),
-		"job_ttfr_ms_p50":   median(lat.ttfr),
-		"job_ttfr_ms_p90":   quantile(lat.ttfr, 0.9),
-		"fresh_job_ms_p50":  median(lat.fresh),
-		"fresh_job_ms_p90":  quantile(lat.fresh, 0.9),
-		"cached_job_ms_p50": median(lat.cached),
-		"job_slo_share":     share(float64(lat.sloMet), float64(lat.sent)),
-		"daemon_jobs_per_s": share(float64(thr.succeeded), thr.wall.Seconds()),
+		"job_ttfr_ms_p50":   median(ph.ttfr),
+		"job_ttfr_ms_p90":   quantile(ph.ttfr, 0.9),
+		"fresh_job_ms_p50":  median(ph.fresh),
+		"fresh_job_ms_p90":  quantile(ph.fresh, 0.9),
+		"cached_job_ms_p50": median(ph.cached),
+		"job_slo_share":     share(float64(ph.sloMet), float64(ph.sent)),
+		"daemon_jobs_per_s": share(float64(ph.succeeded), ph.wall.Seconds()),
 		"ok_share":          share(float64(ok), float64(sent)),
 		"setup_s":           setupS,
 	}
