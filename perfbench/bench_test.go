@@ -13,7 +13,6 @@ import (
 
 	"spotserve/internal/experiments"
 	"spotserve/internal/scenario"
-	"spotserve/internal/serve"
 )
 
 // parallelWorkers is the pool size the exact-count tests compare against a
@@ -84,34 +83,29 @@ func TestBenchmarkJSONMatches(t *testing.T) {
 // given pool size and returns every replica's Result in sweep order.
 func resultsVia(t *testing.T, j batchJob, workers int) []experiments.Result {
 	t.Helper()
-	scs, err := j.scenarios()
+	scs, err := j.grid.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]experiments.Result, len(scs))
 	capture := func(i int, r experiments.Result, _ bool) { out[i] = r }
-	if j.grid != nil {
-		if _, err := scenario.GridSweepStream(*j.grid, experiments.Sweep{Parallel: workers, OnResult: capture}, nil); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	if _, err := scenario.GridSweepStream(j.grid, experiments.Sweep{Parallel: workers, OnResult: capture}, nil); err != nil {
+		t.Fatal(err)
 	}
-	experiments.Sweep{Parallel: workers, OnResult: capture}.RunCellsStream(j.figs)
 	return out
 }
 
 // TestCountsRepeatExactly pins the exact-count contract: at a fixed seed the
 // count metrics repeat bit for bit across two serial probes and across one
-// worker versus every core on the workloads' own parallel paths.
+// worker versus every core on the workload's own parallel path.
 func TestCountsRepeatExactly(t *testing.T) {
 	for name, jobs := range map[string][]batchJob{
-		"grid-storm":   gridStormJobs(7, 3),
-		"decode-dense": decodeDenseJobs(7, 1),
+		"grid-storm": gridStormJobs(7, 4),
 	} {
 		serial := func() map[string]float64 {
 			p := &layerProbe{}
 			for _, j := range jobs {
-				scs, err := j.scenarios()
+				scs, err := j.grid.Cells()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,32 +170,31 @@ func TestStreamBytesRepeatExactly(t *testing.T) {
 	}
 }
 
-// TestDaemonCacheHoldsEveryRun: the daemon's cell cache holds every replica
-// a measurement's fresh plans can write — more than serve's default cache,
-// which a fast host would overflow — and a cache one cell too small is
-// caught as an eviction instead of surfacing as failed repeats.
+// TestDaemonCacheHoldsEveryRun: each pass's daemon gets a cell cache that
+// holds every replica its fresh plans can write, and a cache one cell too
+// small is caught as an eviction instead of surfacing as failed repeats.
 func TestDaemonCacheHoldsEveryRun(t *testing.T) {
-	plans, _ := measurePlans(benchConfig{seed: 7, duration: 18 * time.Second})
-	need := 0
-	for _, p := range plans {
-		if !p.fresh {
-			continue
+	cfg := benchConfig{seed: 7, duration: 30 * time.Second}
+	for _, n := range []int{daemonPassPlans(cfg), daemonOpenPlans(cfg)} {
+		plans := daemonPlans(cfg.seed, n)
+		need := 0
+		for _, p := range plans {
+			if !p.fresh {
+				continue
+			}
+			g, err := p.spec.Grid()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := g.Cells()
+			if err != nil {
+				t.Fatal(err)
+			}
+			need += len(cells) * p.spec.Seeds
 		}
-		g, err := p.spec.Grid()
-		if err != nil {
-			t.Fatal(err)
+		if got := cacheCellsFor(plans); got < need {
+			t.Errorf("%d plans: cache sized for %d cells, plans write %d", n, got, need)
 		}
-		cells, err := g.Cells()
-		if err != nil {
-			t.Fatal(err)
-		}
-		need += len(cells) * p.spec.Seeds
-	}
-	if need <= serve.DefaultCacheCells {
-		t.Fatalf("plans need %d cells, not more than the default %d: the check below proves nothing", need, serve.DefaultCacheCells)
-	}
-	if got := cacheCellsFor(plans); got < need {
-		t.Errorf("cache sized for %d cells, plans write %d", got, need)
 	}
 
 	small := daemonPlans(7, 8)
@@ -226,11 +219,13 @@ func TestDaemonCacheHoldsEveryRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := map[int][]scenario.GridRow{}
-		if err := referenceRows(g.recs, small, refs, 2); err != nil {
+		refs, err := referenceRows(g.recs, small, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return daemonPhase("test", g.recs, small, refs, counts, time.Second, 0), nil
+		ph := &phaseResult{name: "test"}
+		verifyPass(ph, g.recs, small, refs, counts)
+		return ph, nil
 	}
 	ph, err := run(cacheCellsFor(small))
 	if err != nil {
@@ -247,13 +242,16 @@ func TestDaemonCacheHoldsEveryRun(t *testing.T) {
 // TestOracleCatchesWrongOutput: a batch job whose fingerprint was tampered
 // with, or a daemon row that does not match its reference, fails.
 func TestOracleCatchesWrongOutput(t *testing.T) {
-	jr := runBatchJob(gridStormJobs(3, 1)[0], 2, nil)
-	if _, err := verifyBatchJob(jr, 2); err != nil {
-		t.Fatalf("untouched job: %v", err)
+	job := gridStormJobs(3, 1)[0]
+	jr := runBatchJob(job, 2, nil)
+	bad := jr
+	bad.fps = append([]string(nil), jr.fps...)
+	bad.fps[3] = strings.Repeat("0", 64)
+	_, errs := verifyBatchJob(job, []jobRun{jr, bad}, 2)
+	if errs[0] != nil {
+		t.Fatalf("untouched job: %v", errs[0])
 	}
-	jr.fps = append([]string(nil), jr.fps...)
-	jr.fps[3] = strings.Repeat("0", 64)
-	if _, err := verifyBatchJob(jr, 2); err == nil {
+	if errs[1] == nil {
 		t.Fatal("verify accepted a wrong fingerprint")
 	}
 

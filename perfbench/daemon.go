@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -21,10 +22,21 @@ import (
 
 // Daemon workload parameters (DESIGN.md records why).
 const (
+	// daemonRounds is how many times a run sends its plan set in each
+	// closed-loop phase, each time to a fresh daemon. A job's latency is
+	// its best round, a phase's throughput its best round.
+	daemonRounds = 2
+	// daemonJobsPerSec is about how many jobs of this mix the reference
+	// 2-vCPU host's daemon finishes per second; it sizes the plan set so
+	// that every round of both closed-loop phases takes about --seconds
+	// there.
+	daemonJobsPerSec = 29
 	// openLoopRate is the traced open-loop phase's fixed job rate in
 	// jobs/s, about half of one runner's capacity on this job mix at 2
 	// workers.
 	openLoopRate float64 = 16
+	// openLoopShare is the open loop's length as a share of --seconds.
+	openLoopShare = 0.45
 	// daemonLimitMS is the latency limit behind job_slo_share.
 	daemonLimitMS = 1000.0
 	// streamCountSet: serve.stream_bytes_per_job averages the jobs of the
@@ -367,22 +379,22 @@ func (g *generator) finish(rec *jobRecord) {
 	}
 }
 
-// openLoop sends n jobs at a fixed rate. A job holds one of the
+// openLoop sends the plans at a fixed rate. A job holds one of the
 // generator's `workers` connections from its submit to its terminal line;
 // when all are busy the next job goes out late, and its latency still
 // counts from its due time.
-func openLoop(rig *daemonRig, plans []jobPlan, first, n, workers int, tr *tracer) []*jobRecord {
+func openLoop(rig *daemonRig, plans []jobPlan, workers int, tr *tracer) ([]*jobRecord, time.Duration) {
 	g := &generator{rig: rig, plans: plans, tr: tr}
 	slots := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	rate := openLoopRate
 	interval := time.Duration(float64(time.Second) / rate)
-	for i := 0; i < n; i++ {
+	for i := range plans {
 		due := start.Add(time.Duration(i) * interval)
 		time.Sleep(time.Until(due))
 		slots <- struct{}{}
-		rec := g.launch(first+i, due)
+		rec := g.launch(i, due)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -391,25 +403,25 @@ func openLoop(rig *daemonRig, plans []jobPlan, first, n, workers int, tr *tracer
 		}()
 	}
 	wg.Wait()
-	return g.recs
+	return g.recs, time.Since(start)
 }
 
-// closedLoop runs `workers` clients, each sending its next job as soon as
-// the previous one ends, until d has passed; jobs in flight then finish.
-func closedLoop(rig *daemonRig, plans []jobPlan, first int, d time.Duration, workers int, tr *tracer) ([]*jobRecord, time.Duration) {
+// closedLoop runs `clients` clients, each sending its next job as soon as
+// the previous one ends, until every plan has been sent; it returns when
+// the last job ends.
+func closedLoop(rig *daemonRig, plans []jobPlan, clients int, tr *tracer) ([]*jobRecord, time.Duration) {
 	g := &generator{rig: rig, plans: plans, tr: tr}
 	var launchMu sync.Mutex
-	next := first
+	next := 0
 	start := time.Now()
-	deadline := start.Add(d)
 	var wg sync.WaitGroup
-	for c := 0; c < workers; c++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				launchMu.Lock()
-				if time.Now().After(deadline) || next == len(plans) {
+				if next == len(plans) {
 					launchMu.Unlock()
 					return
 				}
@@ -424,32 +436,29 @@ func closedLoop(rig *daemonRig, plans []jobPlan, first int, d time.Duration, wor
 	return g.recs, time.Since(start)
 }
 
-// daemonPhase verifies a phase's job records and folds them into a
-// phaseResult. refs maps a fresh plan index to its reference rows.
-func daemonPhase(name string, recs []*jobRecord, plans []jobPlan, refs map[int][]scenario.GridRow,
-	counts map[string][2]int, wall time.Duration, allocs uint64) *phaseResult {
-	ph := &phaseResult{name: name, wall: wall, allocBytes: allocs}
+// verifyPass checks one pass's job records, marking each failed record
+// with its error, and folds them into ph. refs maps a fresh plan's spec to
+// its reference rows.
+func verifyPass(ph *phaseResult, recs []*jobRecord, plans []jobPlan, refs map[string][]scenario.GridRow,
+	counts map[string][2]int) {
 	for _, rec := range recs {
 		p := plans[rec.plan]
 		ph.sent++
 		ph.serve.submitMS = append(ph.serve.submitMS, ms(rec.posted.Sub(rec.sent)))
 		ph.serve.inflight = append(ph.serve.inflight, float64(rec.inflightAtSend))
-		if late := ms(rec.sent.Sub(rec.due)); late > ph.serve.lateMaxMS {
-			ph.serve.lateMaxMS = late
-		}
+		ph.serve.lateMaxMS = max(ph.serve.lateMaxMS, ms(rec.sent.Sub(rec.due)))
 		if rec.status == http.StatusTooManyRequests {
 			ph.serve.rejected429++
 		}
-		err := rec.err
-		if err == nil {
-			err = checkRows(rec, refs[p.origin])
+		if rec.err == nil {
+			rec.err = checkRows(rec, refs[string(p.body)])
 		}
-		if err == nil {
-			err = checkCacheUse(rec, p, counts)
+		if rec.err == nil {
+			rec.err = checkCacheUse(rec, p, counts)
 		}
-		if err != nil {
+		if rec.err != nil {
 			ph.failed++
-			ph.errors = append(ph.errors, fmt.Sprintf("plan %d (%s): %v", rec.plan, rec.id, err))
+			ph.errors = append(ph.errors, fmt.Sprintf("plan %d (%s): %v", rec.plan, rec.id, rec.err))
 			continue
 		}
 		ph.succeeded++
@@ -461,16 +470,10 @@ func daemonPhase(name string, recs []*jobRecord, plans []jobPlan, refs map[int][
 		ph.ttfr = append(ph.ttfr, ms(rec.firstRow.Sub(rec.due)))
 		if p.fresh {
 			ph.fresh = append(ph.fresh, total)
-			ph.simRuns += len(rec.rows) * p.spec.Seeds
 		} else {
 			ph.cached = append(ph.cached, total)
 		}
-		if total <= daemonLimitMS {
-			ph.sloMet++
-		}
 	}
-	ph.allocRuns = ph.simRuns
-	return ph
 }
 
 // checkRows compares every streamed row with the direct GridSweep of the
@@ -508,27 +511,29 @@ func checkCacheUse(rec *jobRecord, p jobPlan, counts map[string][2]int) error {
 }
 
 // referenceRows runs each fresh plan the recs used through a direct
-// scenario.GridSweep — the CLI path — outside any timed section.
-func referenceRows(recs []*jobRecord, plans []jobPlan, refs map[int][]scenario.GridRow, workers int) error {
+// scenario.GridSweep — the CLI path — outside any timed section, and
+// returns the rows by spec.
+func referenceRows(recs []*jobRecord, plans []jobPlan, workers int) (map[string][]scenario.GridRow, error) {
+	refs := map[string][]scenario.GridRow{}
 	for _, rec := range recs {
-		o := plans[rec.plan].origin
-		if _, ok := refs[o]; ok {
+		spec := plans[plans[rec.plan].origin]
+		key := string(spec.body)
+		if _, ok := refs[key]; ok {
 			continue
 		}
-		spec := plans[o].spec
-		g, err := spec.Grid()
+		g, err := spec.spec.Grid()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sw := spec.Sweep()
+		sw := spec.spec.Sweep()
 		sw.Parallel = workers
 		rows, err := scenario.GridSweep(g, sw)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		refs[o] = rows
+		refs[key] = rows
 	}
-	return nil
+	return refs, nil
 }
 
 // cacheStats reads the daemon's cumulative cell-cache counters. Every miss
@@ -550,69 +555,172 @@ func (d *daemonRig) cacheStats() (hits, lookups uint64, err error) {
 	return st.Cache.Hits, st.Cache.Hits + st.Cache.Misses, nil
 }
 
-// measureDaemon runs the closed-loop phase for the measured time on one
-// fresh daemon and verifies every job. A traced run then adds an open-loop
-// phase on the same daemon; its figures are per-layer only (DESIGN.md says
-// why).
-func measureDaemon(cfg benchConfig, tr *tracer) (measured *phaseResult, all []*phaseResult, err error) {
-	plans, nOpen := measurePlans(cfg)
+// daemonPassPlans is the size of a run's plan set: each closed-loop pass
+// sends all of it.
+func daemonPassPlans(cfg benchConfig) int {
+	return max(4, int(math.Round(cfg.duration.Seconds()*daemonJobsPerSec/(2*daemonRounds))))
+}
+
+// daemonOpenPlans is how many plans the traced open loop sends.
+func daemonOpenPlans(cfg benchConfig) int {
+	return max(4, int(openLoopRate*openLoopShare*cfg.duration.Seconds()))
+}
+
+// daemonPass is one pass of plans through a fresh daemon.
+type daemonPass struct {
+	recs          []*jobRecord
+	counts        map[string][2]int
+	wall          time.Duration
+	allocs        uint64
+	hits, lookups uint64
+}
+
+// runPass starts a daemon whose cache holds every replica the plans can
+// write, sends the plans through send, reads the daemon's cache figures
+// and stops it.
+func runPass(cfg benchConfig, plans []jobPlan, send func(*daemonRig) ([]*jobRecord, time.Duration)) (dp daemonPass, err error) {
 	rig, err := startDaemon(cfg.workers, cacheCellsFor(plans))
 	if err != nil {
-		return nil, nil, err
+		return dp, err
 	}
 	defer func() {
 		if serr := rig.stop(); serr != nil && err == nil {
 			err = fmt.Errorf("daemon shutdown: %w", serr)
 		}
 	}()
-	watch := watchHeap(50 * time.Millisecond)
 	a0 := heapAllocs()
-	closedRecs, closedWall := closedLoop(rig, plans, 0, cfg.duration, cfg.workers, tr)
-	a1 := heapAllocs()
-	peak := watch.stop()
-	h1, l1, err := rig.cacheStats()
-	if err != nil {
-		return nil, nil, err
+	dp.recs, dp.wall = send(rig)
+	dp.allocs = heapAllocs() - a0
+	if dp.hits, dp.lookups, err = rig.cacheStats(); err != nil {
+		return dp, err
 	}
-	var openRecs []*jobRecord
-	var openWall time.Duration
-	var h2, l2 uint64
-	if tr != nil {
-		t0 := time.Now()
-		openRecs = openLoop(rig, plans, len(closedRecs), nOpen, cfg.workers, tr)
-		openWall = time.Since(t0)
-		if h2, l2, err = rig.cacheStats(); err != nil {
-			return nil, nil, err
-		}
-	}
-	counts, err := rig.jobCacheCounts()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	refs := map[int][]scenario.GridRow{}
-	if err := referenceRows(append(append([]*jobRecord(nil), closedRecs...), openRecs...), plans, refs, cfg.workers); err != nil {
-		return nil, nil, fmt.Errorf("reference sweep: %w", err)
-	}
-	closed := daemonPhase("closed-loop", closedRecs, plans, refs, counts, closedWall, a1-a0)
-	closed.serve.cacheHits, closed.serve.cacheLookups = h1, l1
-	closed.peakLiveMB = peak
-	all = []*phaseResult{closed}
-	if tr != nil {
-		open := daemonPhase("open-loop", openRecs, plans, refs, counts, openWall, 0)
-		open.serve.cacheHits, open.serve.cacheLookups = h2-h1, l2-l1
-		open.allocRuns = 0 // the open loop's allocations are not sampled
-		all = append(all, open)
-	}
-	return closed, all, nil
+	dp.counts, err = rig.jobCacheCounts()
+	return dp, err
 }
 
-// measurePlans returns the plans one measurement may use and how many of
-// them the traced open loop sends. The closed loop stops early if it ever
-// finishes more than 100 jobs/s.
-func measurePlans(cfg benchConfig) (plans []jobPlan, nOpen int) {
-	nOpen = int(openLoopRate * (cfg.duration * 85 / 100).Seconds())
-	return daemonPlans(cfg.seed, int(100*cfg.duration.Seconds())+nOpen+16), nOpen
+// measureDaemon sends the run's plan set daemonRounds times through each
+// closed-loop phase, every pass to a fresh daemon, so each pass's fresh
+// jobs simulate. The latency phase has one client, so a job's latency is
+// its own service time; the capacity phase has nproc clients and keeps
+// the runner busy. A traced run then adds an open-loop phase, whose
+// figures are per-layer only (DESIGN.md says why). Every job is verified.
+func measureDaemon(cfg benchConfig, tr *tracer) (*measurement, error) {
+	nPass := daemonPassPlans(cfg)
+	nOpen := 0
+	if tr != nil {
+		nOpen = daemonOpenPlans(cfg)
+	}
+	plans := daemonPlans(cfg.seed, max(nPass, nOpen))
+	lat := &phaseResult{name: "closed-loop, 1 client"}
+	capa := &phaseResult{name: fmt.Sprintf("closed-loop, %d clients", cfg.workers)}
+	m := &measurement{phases: []*phaseResult{lat, capa}}
+	watch := watchHeap(50 * time.Millisecond)
+	var latPasses, capPasses []daemonPass
+	for round := 0; round < daemonRounds; round++ {
+		for _, clients := range []int{1, cfg.workers} {
+			dp, err := runPass(cfg, plans[:nPass], func(rig *daemonRig) ([]*jobRecord, time.Duration) {
+				return closedLoop(rig, plans[:nPass], clients, tr)
+			})
+			if err != nil {
+				watch.stop()
+				return nil, err
+			}
+			if clients == 1 {
+				latPasses = append(latPasses, dp)
+			} else {
+				capPasses = append(capPasses, dp)
+			}
+		}
+	}
+	peak := watch.stop()
+	lat.peakLiveMB, capa.peakLiveMB = peak, peak
+	var open daemonPass
+	if tr != nil {
+		var err error
+		open, err = runPass(cfg, plans[:nOpen], func(rig *daemonRig) ([]*jobRecord, time.Duration) {
+			return openLoop(rig, plans[:nOpen], cfg.workers, tr)
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	var recs []*jobRecord
+	for _, dp := range append(append(append([]daemonPass(nil), latPasses...), capPasses...), open) {
+		recs = append(recs, dp.recs...)
+	}
+	refs, err := referenceRows(recs, plans, cfg.workers)
+	if err != nil {
+		return nil, fmt.Errorf("reference sweep: %w", err)
+	}
+	fold := func(ph *phaseResult, dp daemonPass) {
+		verifyPass(ph, dp.recs, plans, refs, dp.counts)
+		ph.serve.cacheHits += dp.hits
+		ph.serve.cacheLookups += dp.lookups
+		m.allocBytes += dp.allocs
+		for _, rec := range dp.recs {
+			if rec.err == nil && plans[rec.plan].fresh {
+				m.allocRuns += jobReplicas(plans[rec.plan].spec)
+			}
+		}
+	}
+	// Latency: each plan's best round in the one-client phase.
+	bestTotal := make([]float64, nPass)
+	bestFirst := make([]float64, nPass)
+	failed := make([]bool, nPass)
+	for _, dp := range latPasses {
+		fold(lat, dp)
+		for _, rec := range dp.recs {
+			if rec.err != nil {
+				failed[rec.plan] = true
+				continue
+			}
+			total, first := ms(rec.done.Sub(rec.due)), ms(rec.firstRow.Sub(rec.due))
+			if bestTotal[rec.plan] == 0 || total < bestTotal[rec.plan] {
+				bestTotal[rec.plan] = total
+			}
+			if bestFirst[rec.plan] == 0 || first < bestFirst[rec.plan] {
+				bestFirst[rec.plan] = first
+			}
+		}
+	}
+	for i := range bestTotal {
+		m.sloJobs++
+		if bestTotal[i] == 0 {
+			continue // failed in every round
+		}
+		if !failed[i] && bestTotal[i] <= daemonLimitMS {
+			m.sloMet++
+		}
+		// A repeat's first row is as early as its whole stream
+		// (cached_job_ms), so first-row latency counts fresh jobs only.
+		if plans[i].fresh {
+			m.ttfr = append(m.ttfr, bestFirst[i])
+			m.fresh = append(m.fresh, bestTotal[i])
+		} else {
+			m.cached = append(m.cached, bestTotal[i])
+		}
+	}
+	// Throughput: the capacity phase's best round.
+	for _, dp := range capPasses {
+		before := capa.succeeded
+		fold(capa, dp)
+		simRuns := 0
+		for _, rec := range dp.recs {
+			if rec.err == nil && plans[rec.plan].fresh {
+				simRuns += jobReplicas(plans[rec.plan].spec)
+			}
+		}
+		m.jobsPerS = max(m.jobsPerS, share(float64(capa.succeeded-before), dp.wall.Seconds()))
+		m.runsPerS = max(m.runsPerS, share(float64(simRuns), dp.wall.Seconds()))
+	}
+	if tr != nil {
+		ph := &phaseResult{name: "open-loop"}
+		verifyPass(ph, open.recs, plans, refs, open.counts)
+		ph.serve.cacheHits, ph.serve.cacheLookups = open.hits, open.lookups
+		m.phases = append(m.phases, ph)
+	}
+	return m, nil
 }
 
 // addServeLayers reports the serve-layer figures of a traced run's phases
@@ -634,7 +742,7 @@ func addServeLayers(layer map[string]float64, phases []*phaseResult) {
 			open = *ph
 		}
 	}
-	// The untraced closed loop is the first phase; its leading jobs are
+	// The untraced latency phase is the first phase; its leading jobs are
 	// the stream-bytes count set.
 	if len(phases) > 0 {
 		streamBytes, streamed = phases[0].serve.streamBytes, phases[0].serve.streamedJobs
@@ -705,7 +813,7 @@ const daemonCountSet = 24
 var daemonJobs = workloadDef{
 	name: "daemon-jobs",
 	setup: func(cfg benchConfig) error {
-		plans, _ := measurePlans(cfg)
+		plans := daemonPlans(cfg.seed, daemonPassPlans(cfg))
 		for _, p := range plans {
 			if _, err := scenario.ParseJobSpec(p.body); err != nil {
 				return err

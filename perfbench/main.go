@@ -1,11 +1,11 @@
 // Command perfbench is the repository benchmark. It drives the system from
-// outside, through its public entry points — scenario.GridSweepStream and
-// experiments.Sweep for batch sweeps, an in-process serve.Server over
-// loopback HTTP for the daemon — on one of three seeded workloads, checks
+// outside, through its public entry points — scenario.GridSweepStream for
+// batch sweeps, an in-process serve.Server over loopback HTTP for the
+// daemon — on one of two seeded workloads, checks
 // every output against an independent reference, and prints one JSON
 // object as its last line of output.
 //
-//	go run . --workload grid-storm --seed 1 --seconds 18 --trace 0
+//	go run . --workload grid-storm --seed 1 --seconds 30 --trace 0
 //
 // With --trace 0 the object carries the end-to-end metrics. With --trace 1
 // the run measures the workload untraced and then traced, records spans
@@ -38,31 +38,41 @@ type benchConfig struct {
 	outDir  string
 }
 
-// phaseResult is what one measured phase observed. Every workload measures
-// one closed-loop phase; a traced daemon run adds an open-loop phase whose
-// figures are per-layer only. Every operation (a job) is sent, then either
-// succeeds or fails; a failure is a panic, an error row, a fingerprint
-// mismatch, a rejected submit, a non-done terminal state or a broken
-// stream.
+// phaseResult is what one phase of a measurement observed. Every
+// operation (a job) is sent, then either succeeds or fails; a failure is a
+// panic, an error row, a fingerprint mismatch, a rejected submit, a
+// non-done terminal state or a broken stream.
 type phaseResult struct {
 	name                    string
 	sent, succeeded, failed int
 	errors                  []string
-	// wall is the host time the phase's throughput figures divide by.
-	wall time.Duration
-	// simRuns counts verified simulation runs (cache hits excluded).
-	simRuns int
+	// ttfr, fresh and cached are the daemon phases' per-job latencies in
+	// ms: due time to first row, and due time to done for simulated and
+	// fully cached jobs.
+	ttfr, fresh, cached []float64
+	peakLiveMB          float64
+	serve               serveCounters
+}
+
+// measurement is what one measure call observed: every phase that ran,
+// and the figures the end-to-end metrics come from. A workload runs its
+// job set for several rounds, and each latency sample is one job's best
+// round (DESIGN.md, Noise).
+type measurement struct {
+	phases []*phaseResult
+	// runsPerS and jobsPerS are verified simulation runs and jobs per
+	// second of host time.
+	runsPerS, jobsPerS float64
+	// ttfr, fresh and cached are per-job latency samples in ms.
+	ttfr, fresh, cached []float64
+	// sloMet of sloJobs distinct jobs finished within the workload's
+	// latency limit in their best round; a job that failed in any round
+	// misses it.
+	sloMet, sloJobs int
 	// allocBytes is heap allocated while the system worked, charged to
 	// allocRuns simulated runs.
 	allocBytes uint64
 	allocRuns  int
-	// ttfr, fresh and cached are per-job latencies in ms: due time to
-	// first row, and due time to done for simulated and fully cached jobs.
-	ttfr, fresh, cached []float64
-	// sloMet counts jobs done within the workload's latency limit.
-	sloMet     int
-	peakLiveMB float64
-	serve      serveCounters
 }
 
 // serveCounters are the daemon-side layer figures of a phase.
@@ -83,10 +93,8 @@ type workloadDef struct {
 	// setup builds the workload's inputs from the seed and brings the
 	// system up, then tears it down; measured several times per run.
 	setup func(cfg benchConfig) error
-	// measure runs the workload's phases. measured is the phase the
-	// end-to-end metrics come from; all lists every phase that ran,
-	// measured first.
-	measure func(cfg benchConfig, tr *tracer) (measured *phaseResult, all []*phaseResult, err error)
+	// measure runs the workload's fixed job set and verifies every job.
+	measure func(cfg benchConfig, tr *tracer) (*measurement, error)
 	// layers computes the per-layer metrics on the workload's fixed,
 	// seed-determined count set.
 	layers func(cfg benchConfig, tr *tracer) (map[string]float64, error)
@@ -97,9 +105,8 @@ type workloadDef struct {
 
 func workloads() map[string]workloadDef {
 	return map[string]workloadDef{
-		"grid-storm":   gridStorm,
-		"decode-dense": decodeDense,
-		"daemon-jobs":  daemonJobs,
+		"grid-storm":  gridStorm,
+		"daemon-jobs": daemonJobs,
 	}
 }
 
@@ -128,9 +135,9 @@ func parseFlags(args []string, stderr io.Writer) (benchConfig, error) {
 	var cfg benchConfig
 	var seconds float64
 	var traceFlag int
-	fs.StringVar(&cfg.workload, "workload", "", "workload: grid-storm, decode-dense or daemon-jobs")
+	fs.StringVar(&cfg.workload, "workload", "", "workload: grid-storm or daemon-jobs")
 	fs.Int64Var(&cfg.seed, "seed", 1, "workload seed")
-	fs.Float64Var(&seconds, "seconds", 18, "seconds to measure")
+	fs.Float64Var(&seconds, "seconds", 30, "seconds to measure")
 	fs.IntVar(&traceFlag, "trace", 0, "1 = traced run reporting per-layer metrics")
 	fs.StringVar(&cfg.outDir, "out", ".bench_out", "directory for span files")
 	if err := fs.Parse(args); err != nil {
@@ -183,13 +190,15 @@ func run(cfg benchConfig, out io.Writer) (result, error) {
 		return result{}, fmt.Errorf("warm-up: %w", err)
 	}
 
-	measured, phases, err := w.measure(cfg, nil)
+	measured, err := w.measure(cfg, nil)
 	if err != nil {
 		return result{}, err
 	}
-	e2e := endToEnd(measured, phases, median(setups))
+	e2e := endToEnd(measured, median(setups))
 	res := result{Correct: true, Metrics: map[string]metric{}}
-	for _, ph := range phases {
+	fmt.Fprintf(out, "%s latency samples: ttfr n=%d, fresh n=%d, cached n=%d\n",
+		w.name, len(measured.ttfr), len(measured.fresh), len(measured.cached))
+	for _, ph := range measured.phases {
 		reportPhase(out, w.name, ph)
 		res.Attempted += ph.sent
 		res.Failed += ph.failed
@@ -203,12 +212,12 @@ func run(cfg benchConfig, out io.Writer) (result, error) {
 	}
 
 	tr := newTracer()
-	tmeasured, tphases, err := w.measure(cfg, tr)
+	tmeasured, err := w.measure(cfg, tr)
 	if err != nil {
 		return result{}, err
 	}
-	traced := endToEnd(tmeasured, tphases, median(setups))
-	for _, ph := range tphases {
+	traced := endToEnd(tmeasured, median(setups))
+	for _, ph := range tmeasured.phases {
 		reportPhase(out, w.name+" (traced)", ph)
 		res.Attempted += ph.sent
 		res.Failed += ph.failed
@@ -220,14 +229,13 @@ func run(cfg benchConfig, out io.Writer) (result, error) {
 	layer["tracing.runs_per_s_delta"] = traced["runs_per_s"] - e2e["runs_per_s"]
 	layer["tracing.fresh_job_ms_p50_delta"] = traced["fresh_job_ms_p50"] - e2e["fresh_job_ms_p50"]
 	layer["fail_share"] = share(float64(res.Failed), float64(res.Attempted))
+	all := append(append([]*phaseResult(nil), measured.phases...), tmeasured.phases...)
 	peak := 0.0
-	for _, ph := range append(phases, tphases...) {
-		if ph.peakLiveMB > peak {
-			peak = ph.peakLiveMB
-		}
+	for _, ph := range all {
+		peak = max(peak, ph.peakLiveMB)
 	}
 	layer["process.peak_live_heap_mb"] = peak
-	addServeLayers(layer, append(phases, tphases...))
+	addServeLayers(layer, all)
 	path, err := tr.write(cfg.outDir, fmt.Sprintf("trace-%s-seed%d.json", cfg.workload, cfg.seed))
 	if err != nil {
 		return result{}, err
@@ -245,35 +253,31 @@ func run(cfg benchConfig, out io.Writer) (result, error) {
 	return res, nil
 }
 
-// endToEnd derives the end-to-end metrics from a run's measured phase;
-// ok_share and alloc_mb_per_run count every phase.
-func endToEnd(ph *phaseResult, phases []*phaseResult, setupS float64) map[string]float64 {
-	var sent, ok, allocRuns int
-	var alloc uint64
-	for _, p := range phases {
+// endToEnd derives the end-to-end metrics from a measurement; ok_share
+// counts every phase.
+func endToEnd(m *measurement, setupS float64) map[string]float64 {
+	var sent, ok int
+	for _, p := range m.phases {
 		sent += p.sent
 		ok += p.succeeded
-		alloc += p.allocBytes
-		allocRuns += p.allocRuns
 	}
 	return map[string]float64{
-		"runs_per_s":        share(float64(ph.simRuns), ph.wall.Seconds()),
-		"alloc_mb_per_run":  share(float64(alloc)/(1<<20), float64(allocRuns)),
-		"job_ttfr_ms_p50":   median(ph.ttfr),
-		"job_ttfr_ms_p90":   quantile(ph.ttfr, 0.9),
-		"fresh_job_ms_p50":  median(ph.fresh),
-		"fresh_job_ms_p90":  quantile(ph.fresh, 0.9),
-		"cached_job_ms_p50": median(ph.cached),
-		"job_slo_share":     share(float64(ph.sloMet), float64(ph.sent)),
-		"daemon_jobs_per_s": share(float64(ph.succeeded), ph.wall.Seconds()),
+		"runs_per_s":        m.runsPerS,
+		"alloc_mb_per_run":  share(float64(m.allocBytes)/(1<<20), float64(m.allocRuns)),
+		"job_ttfr_ms_p50":   median(m.ttfr),
+		"job_ttfr_ms_p90":   quantile(m.ttfr, 0.9),
+		"fresh_job_ms_p50":  median(m.fresh),
+		"fresh_job_ms_p90":  quantile(m.fresh, 0.9),
+		"cached_job_ms_p50": median(m.cached),
+		"job_slo_share":     share(float64(m.sloMet), float64(m.sloJobs)),
+		"daemon_jobs_per_s": m.jobsPerS,
 		"ok_share":          share(float64(ok), float64(sent)),
 		"setup_s":           setupS,
 	}
 }
 
 func reportPhase(out io.Writer, name string, ph *phaseResult) {
-	fmt.Fprintf(out, "%s %s: sent %d, succeeded %d, failed %d (ttfr n=%d, fresh n=%d, cached n=%d)\n",
-		name, ph.name, ph.sent, ph.succeeded, ph.failed, len(ph.ttfr), len(ph.fresh), len(ph.cached))
+	fmt.Fprintf(out, "%s %s: sent %d, succeeded %d, failed %d\n", name, ph.name, ph.sent, ph.succeeded, ph.failed)
 	for i, e := range ph.errors {
 		if i == 5 {
 			fmt.Fprintf(out, "  ... %d more failures\n", len(ph.errors)-5)

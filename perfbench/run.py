@@ -3,7 +3,7 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload grid-storm --seed 1 --seconds 18 --trace 0
+    python3 perfbench/run.py --workload grid-storm --seed 1 --seconds 30 --trace 0
 
 Builds the Go program in perfbench/ from source into .bench_build/ (the Go
 build cache goes there too, so nothing is written outside the checkout),
