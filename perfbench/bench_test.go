@@ -99,40 +99,37 @@ func resultsVia(t *testing.T, j batchJob, workers int) []experiments.Result {
 // count metrics repeat bit for bit across two serial probes and across one
 // worker versus every core on the workload's own parallel path.
 func TestCountsRepeatExactly(t *testing.T) {
-	for name, jobs := range map[string][]batchJob{
-		"grid-storm": gridStormJobs(7, 4),
-	} {
-		serial := func() map[string]float64 {
-			p := &layerProbe{}
-			for _, j := range jobs {
-				scs, err := j.grid.Cells()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, sc := range scs {
-					p.count(experiments.Run(sc))
-				}
+	jobs := gridStormJobs(7, 4)
+	serial := func() map[string]float64 {
+		p := &layerProbe{}
+		for _, j := range jobs {
+			scs, err := j.grid.Cells()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return p.counts()
-		}
-		want := serial()
-		if got := serial(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: serial counts differ between runs:\n%v\n%v", name, got, want)
-		}
-		for _, w := range []int{1, parallelWorkers()} {
-			p := &layerProbe{}
-			for _, j := range jobs {
-				for _, r := range resultsVia(t, j, w) {
-					p.count(r)
-				}
-			}
-			if got := p.counts(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s at %d workers: counts %v, serial %v", name, w, got, want)
+			for _, sc := range scs {
+				p.count(experiments.Run(sc))
 			}
 		}
-		if want["sim.events_per_run"] == 0 || want["core.requests_per_run"] == 0 {
-			t.Errorf("%s: empty counts %v", name, want)
+		return p.counts()
+	}
+	want := serial()
+	if got := serial(); !reflect.DeepEqual(got, want) {
+		t.Errorf("serial counts differ between runs:\n%v\n%v", got, want)
+	}
+	for _, w := range []int{1, parallelWorkers()} {
+		p := &layerProbe{}
+		for _, j := range jobs {
+			for _, r := range resultsVia(t, j, w) {
+				p.count(r)
+			}
 		}
+		if got := p.counts(); !reflect.DeepEqual(got, want) {
+			t.Errorf("at %d workers: counts %v, serial %v", w, got, want)
+		}
+	}
+	if want["sim.events_per_run"] == 0 || want["core.requests_per_run"] == 0 {
+		t.Errorf("empty counts %v", want)
 	}
 }
 
