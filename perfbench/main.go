@@ -1,9 +1,9 @@
 // Command perfbench is the repository benchmark. It drives the system from
 // outside, through its public entry points — scenario.GridSweepStream for
 // batch sweeps, an in-process serve.Server over loopback HTTP for the
-// daemon — on one of two seeded workloads, checks
-// every output against an independent reference, and prints one JSON
-// object as its last line of output.
+// daemon — on one of two seeded workloads, checks every output against an
+// independent reference, and prints one JSON object as its last line of
+// output.
 //
 //	go run . --workload grid-storm --seed 1 --seconds 30 --trace 0
 //
